@@ -20,6 +20,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "=== bench smoke (BENCH_FAST) ==="
 BENCH_FAST=1 cargo bench -p vic-bench --offline -q >/dev/null
 
+echo "=== perfbench smoke and tests ==="
+# The repository benchmark is a cargo package of its own (not a workspace
+# member), so the workspace build and test steps above do not reach it.
+# --smoke runs one checked pass of every workload plus one traced run.
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- --smoke >/dev/null
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "=== sweep smoke (--quick) ==="
 sweep_json="$(mktemp)"
 cargo run --release -p vic-bench --bin sweep --offline -q -- \

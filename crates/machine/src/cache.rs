@@ -365,7 +365,10 @@ impl Cache {
     /// for the machine's bulk-run engine. Returns the access result (for
     /// cycle accounting, identical to what `read`/`write` would report) and
     /// the line index, whose payload is reachable through
-    /// [`Cache::line_data`] / [`Cache::line_data_mut`].
+    /// [`Cache::line_data`] / [`Cache::line_data_mut`]. Forced inline
+    /// into the bulk engine's per-line loops, like
+    /// `Machine::charge_cached_access`.
+    #[inline(always)]
     pub fn touch_line(
         &mut self,
         va: VAddr,
@@ -394,6 +397,17 @@ impl Cache {
     pub fn line_data_mut(&mut self, idx: usize) -> &mut [u8] {
         let range = self.data_range(idx);
         &mut self.data[range]
+    }
+
+    /// Copy `len` payload bytes at line offset `off` from line `src` to
+    /// the same offset of line `dst` (distinct lines). Like
+    /// [`Cache::line_data_mut`], this does not mark `dst` dirty.
+    pub fn copy_line_bytes(&mut self, src: usize, dst: usize, off: usize, len: usize) {
+        debug_assert_ne!(src, dst, "distinct lines");
+        debug_assert!(off + len <= self.line_size as usize);
+        let from = (src << self.line_shift) + off;
+        self.data
+            .copy_within(from..from + len, (dst << self.line_shift) + off);
     }
 
     /// Mark line `idx` dirty, maintaining the occupancy index — the same

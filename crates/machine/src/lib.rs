@@ -68,7 +68,7 @@ pub mod oracle;
 pub mod shared;
 pub mod stats;
 
-pub use config::{MachineConfig, WritePolicy};
+pub use config::{words_in_block, MachineConfig, WritePolicy};
 pub use cost::CycleCosts;
 pub use cpu::Cpu;
 pub use machine::{Fault, Machine};

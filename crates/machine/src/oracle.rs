@@ -94,6 +94,22 @@ impl Oracle {
         }
     }
 
+    /// Check a group of consecutive aligned 32-bit words read at `pa` —
+    /// exactly equivalent to [`Oracle::check_read`] per 4-byte word in
+    /// ascending order. A clean group costs one slice comparison; only a
+    /// mismatching group repeats the per-word checks, so the violation
+    /// count and the retained sample are the same as the word loop's.
+    pub fn check_read_words(&mut self, pa: PAddr, data: &[u8], observer: &'static str) {
+        debug_assert!(data.len().is_multiple_of(4), "whole words only");
+        let s = pa.0 as usize;
+        if data == &self.expected[s..s + data.len()] {
+            return;
+        }
+        for (i, word) in data.chunks_exact(4).enumerate() {
+            self.check_read(PAddr(pa.0 + 4 * i as u64), word, observer);
+        }
+    }
+
     /// Total violations observed.
     pub fn violations(&self) -> u64 {
         self.violations
@@ -229,6 +245,33 @@ mod tests {
         o.record_write(PAddr(0), &[1, 2, 3, 4]);
         o.check_read(PAddr(0), &[1, 2, 9, 4], "CPU");
         assert_eq!(o.sample()[0].pa, PAddr(2));
+    }
+
+    #[test]
+    fn word_group_check_matches_per_word_checks() {
+        let mut grouped = Oracle::new(64);
+        let mut per_word = Oracle::new(64);
+        let written: Vec<u8> = (1..=32).collect();
+        grouped.record_write(PAddr(16), &written);
+        per_word.record_write(PAddr(16), &written);
+        // Clean, then stale in words 1 and 3 (two bytes in word 3): one
+        // violation per stale word, at its first stale byte.
+        let mut read = written.clone();
+        for data in [written.clone(), {
+            read[5] = 0;
+            read[13] = 0;
+            read[14] = 0;
+            read
+        }] {
+            grouped.check_read_words(PAddr(16), &data, "CPU load");
+            for (i, w) in data.chunks_exact(4).enumerate() {
+                per_word.check_read(PAddr(16 + 4 * i as u64), w, "CPU load");
+            }
+        }
+        assert_eq!(grouped.violations(), 2);
+        assert_eq!(grouped.violations(), per_word.violations());
+        assert_eq!(grouped.sample(), per_word.sample());
+        assert_eq!(grouped.sample()[1].pa, PAddr(16 + 13));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use vic_core::manager::{AccessHints, DmaDir, MgrStats};
 use vic_core::policy::PolicyConfig;
 use vic_core::serial::{SerialError, WordReader, WordWriter};
 use vic_core::types::{Access, CpuId, Mapping, PFrame, Prot, SpaceId, VAddr, VPage};
-use vic_machine::{Fault, Machine, MachineConfig};
+use vic_machine::{words_in_block, Fault, Machine, MachineConfig};
 use vic_metrics::{PageStateCounts, SystemSnapshot};
 use vic_profile::Seg;
 use vic_trace::{TraceEvent, Tracer};
@@ -890,15 +890,9 @@ impl Kernel {
     // Run accesses (the bulk engine's kernel entry points)
 
     /// How many words of an `n`-word run starting at index `i` share word
-    /// `i`'s virtual page.
+    /// `i`'s virtual page (closed form, once per page).
     fn run_page_span(&self, va: VAddr, stride: u64, i: usize, n: usize) -> usize {
-        let page = self.page_size();
-        let vp = (va.0 + i as u64 * stride) / page;
-        let mut k = 1usize;
-        while i + k < n && (va.0 + (i + k) as u64 * stride) / page == vp {
-            k += 1;
-        }
-        k
+        words_in_block(va.0 + i as u64 * stride, stride, self.page_size(), n - i)
     }
 
     /// Access a run of words with fault resolution — equivalent to calling
@@ -2163,6 +2157,49 @@ mod tests {
         let mut w = KernelWindows::new(4);
         for _ in 0..5 {
             let _ = w.alloc(Some(1));
+        }
+    }
+
+    #[test]
+    fn run_page_span_closed_form_matches_word_loop() {
+        // The per-word page test the closed form replaced.
+        fn looped(page: u64, va: VAddr, stride: u64, i: usize, n: usize) -> usize {
+            let vp = (va.0 + i as u64 * stride) / page;
+            let mut k = 1usize;
+            while i + k < n && (va.0 + (i + k) as u64 * stride) / page == vp {
+                k += 1;
+            }
+            k
+        }
+        for cfg in [
+            KernelConfig::small(SystemKind::Cmu(vic_core::policy::Configuration::F)),
+            KernelConfig::new(SystemKind::Cmu(vic_core::policy::Configuration::F)),
+        ] {
+            let k = Kernel::new(cfg);
+            let page = k.page_size();
+            for stride in [4, 8, 12, 16, 20, page, page + 4, 3 * page] {
+                // Page-aligned and mid-page starts, including the last word.
+                for start in [0, 4, 12, page / 2, page / 2 + 4, page - 4] {
+                    let va = VAddr(7 * page + start);
+                    // Runs that end before, at and beyond the page's end.
+                    for n in [
+                        1,
+                        2,
+                        3,
+                        5,
+                        (page / stride).max(1) as usize,
+                        2 * page as usize / 4 + 3,
+                    ] {
+                        for i in [0, 1, n / 2, n - 1].into_iter().filter(|&i| i < n) {
+                            assert_eq!(
+                                k.run_page_span(va, stride, i, n),
+                                looped(page, va, stride, i, n),
+                                "page {page} stride {stride} va {va} i {i} n {n}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

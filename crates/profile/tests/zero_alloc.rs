@@ -1,24 +1,39 @@
 //! The zero-cost-when-disabled guarantee, enforced with a counting
 //! global allocator: with the profiler off (the default), the machine's
 //! access hot path — loads, stores, ifetches, including misses and
-//! writebacks — performs **zero heap allocations**. The disabled
+//! writebacks, and the bulk-run engine's `load_run` / `store_run` /
+//! `copy_run` — performs **zero heap allocations**. The disabled
 //! profiler is one `Option` discriminant test per span site, nothing
 //! more.
+//!
+//! The counter is per thread: libtest runs these tests on parallel
+//! threads, and a process-wide count would let a sibling test's setup
+//! allocations leak into the measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use vic_core::types::{Mapping, PFrame, Prot, SpaceId, VPage};
+use vic_core::types::{Mapping, PFrame, Prot, SpaceId, VAddr, VPage};
 use vic_machine::{Machine, MachineConfig};
 use vic_profile::Profiler;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread (a const-initialized
+    /// `Cell` needs no lazy init and no destructor, so touching it from
+    /// inside the allocator cannot recurse).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still free or allocate.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -27,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -35,13 +50,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap allocations made by this thread while `f` runs.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = ALLOCS.with(Cell::get);
     let r = f();
-    (ALLOCS.load(Ordering::SeqCst) - before, r)
+    (ALLOCS.with(Cell::get) - before, r)
 }
 
-fn steady_state_machine() -> (Machine, SpaceId, Vec<vic_core::types::VAddr>) {
+#[test]
+fn counter_sees_this_threads_allocations() {
+    // The per-thread counter must still see the measured thread's own
+    // allocations, or every zero below would hold vacuously.
+    let (allocs, v) = allocations_during(|| std::hint::black_box(Vec::<u64>::with_capacity(8)));
+    assert_eq!(allocs, 1);
+    drop(v);
+}
+
+fn steady_state_machine() -> (Machine, SpaceId, Vec<VAddr>) {
     let mut m = Machine::new(MachineConfig::small());
     let sp = SpaceId(1);
     let mut vas = Vec::new();
@@ -119,6 +144,50 @@ fn steady_state_miss_path_allocates_nothing() {
         m.stats().d_misses - misses_before >= 2 * 256,
         "the loop must actually conflict-miss throughout"
     );
+    assert_eq!(m.oracle().violations(), 0, "no aliasing, no staleness");
+}
+
+#[test]
+fn bulk_runs_allocate_nothing() {
+    // The bulk-run engine's per-line path: stride-4 runs inside one page,
+    // fast paths on, no tracer, and a copy between distinct cache pages,
+    // so all three calls are eligible. The small config's 4-page data
+    // cache makes vp0/vp4 and vp1/vp5 collide, so the steady state keeps
+    // missing and writing back.
+    let mut m = Machine::new(MachineConfig::small());
+    let sp = SpaceId(1);
+    for (vp, f) in [(0u64, 2u64), (1, 3), (4, 4), (5, 5)] {
+        m.enter_mapping(Mapping::new(sp, VPage(vp)), PFrame(f), Prot::READ_WRITE);
+    }
+    let words = (m.config().page_size / 4) as usize;
+    let va = |vp: u64| VAddr(vp * 256);
+    let vals: Vec<u32> = (0..words as u32).collect();
+    let mut out = vec![0u32; words];
+    let round = |m: &mut Machine, out: &mut [u32]| {
+        m.store_run(sp, va(0), 4, &vals).unwrap();
+        m.store_run(sp, va(4), 4, &vals).unwrap();
+        m.load_run(sp, va(0), 4, out).unwrap();
+        m.copy_run(sp, va(4), sp, va(1), words).unwrap();
+        m.copy_run(sp, va(0), sp, va(5), words).unwrap();
+        m.load_run(sp, va(1), 4, out).unwrap();
+    };
+    // Warm up the TLB and the conflict pattern.
+    round(&mut m, &mut out);
+    let misses_before = m.stats().d_misses;
+    let (allocs, ()) = allocations_during(|| {
+        for _ in 0..64 {
+            round(&mut m, &mut out);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "bulk load/store/copy runs must not touch the heap"
+    );
+    assert!(
+        m.stats().d_misses - misses_before >= 64 * 4 * 16,
+        "the runs must actually miss throughout"
+    );
+    assert_eq!(out, vals, "the last load read the copied words back");
     assert_eq!(m.oracle().violations(), 0, "no aliasing, no staleness");
 }
 
