@@ -17,6 +17,9 @@ cargo test --workspace --release --offline -q
 echo "=== cargo clippy -D warnings ==="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "=== cargo doc -D warnings ==="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "=== bench smoke (BENCH_FAST) ==="
 BENCH_FAST=1 cargo bench -p vic-bench --offline -q >/dev/null
 

@@ -6,7 +6,7 @@
 //! fixed number of samples — not criterion-grade statistics.
 //!
 //! Iteration counts auto-scale from a calibration pass so each sample runs
-//! for roughly [`TARGET_SAMPLE`]. `BENCH_FAST=1` in the environment cuts
+//! for roughly `TARGET_SAMPLE` (20 ms). `BENCH_FAST=1` in the environment cuts
 //! samples and targets drastically so CI can smoke-test every bench target
 //! in seconds.
 

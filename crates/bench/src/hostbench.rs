@@ -183,7 +183,7 @@ impl HostEntry {
         }
     }
 
-    /// This entry's fleet telemetry as a merged [`MetricsShard`] plus the
+    /// This entry's fleet telemetry as a merged [`vic_metrics::MetricsShard`] plus the
     /// per-run list for a metrics document: same schema as the sweep's
     /// `--metrics` output, so one reader handles both.
     pub fn metrics(&self) -> (vic_metrics::MetricsShard, Vec<crate::output::RunMetric>) {

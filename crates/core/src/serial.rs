@@ -94,6 +94,13 @@ impl WordWriter {
     /// little-endian eight to a word (final word zero-padded).
     pub fn bytes(&mut self, b: &[u8]) {
         self.usize(b.len());
+        self.packed(b);
+    }
+
+    /// Append bytes packed as [`WordWriter::bytes`] packs them, without
+    /// the length word. A long byte string can be streamed in pieces this
+    /// way, provided every piece but the last is a whole number of words.
+    pub fn packed(&mut self, b: &[u8]) {
         for chunk in b.chunks(8) {
             let mut buf = [0u8; 8];
             buf[..chunk.len()].copy_from_slice(chunk);
@@ -191,15 +198,27 @@ impl<'a> WordReader<'a> {
     /// Read a byte vector written by [`WordWriter::bytes`].
     pub fn bytes(&mut self) -> Result<Vec<u8>, SerialError> {
         let len = self.usize()?;
-        let mut out = Vec::with_capacity(len);
-        let mut remaining = len;
-        while remaining > 0 {
-            let take = remaining.min(8);
-            let word = self.next()?.to_le_bytes();
-            out.extend_from_slice(&word[..take]);
-            remaining -= take;
+        if len.div_ceil(8) > self.words.len() - self.pos {
+            // Refuse before allocating: a corrupt length must not ask
+            // for more memory than the stream could ever fill.
+            return Err(SerialError::Truncated {
+                at: self.words.len(),
+            });
         }
+        let mut out = vec![0; len];
+        self.packed_into(&mut out)?;
         Ok(out)
+    }
+
+    /// Fill `out` with bytes written by [`WordWriter::packed`] (or the
+    /// body of [`WordWriter::bytes`]), reading `out.len()` bytes' worth
+    /// of words.
+    pub fn packed_into(&mut self, out: &mut [u8]) -> Result<(), SerialError> {
+        for chunk in out.chunks_mut(8) {
+            let word = self.next()?.to_le_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
+        Ok(())
     }
 
     /// Read a virtual mapping written by [`WordWriter::mapping`].
@@ -281,6 +300,33 @@ mod tests {
             assert_eq!(r.u64().unwrap(), 0xdead);
             r.finish().unwrap();
         }
+    }
+
+    #[test]
+    fn packed_pieces_read_back_as_one_byte_string() {
+        let data: Vec<u8> = (0..40).collect();
+        let mut w = WordWriter::new();
+        w.usize(data.len());
+        w.packed(&data[..16]);
+        w.packed(&data[16..]);
+        let words = w.into_words();
+        let mut whole = WordWriter::new();
+        whole.bytes(&data);
+        assert_eq!(words, whole.into_words());
+        let mut r = WordReader::new(&words);
+        assert_eq!(r.usize().unwrap(), 40);
+        let mut back = vec![0u8; 40];
+        r.packed_into(&mut back[..24]).unwrap();
+        r.packed_into(&mut back[24..]).unwrap();
+        assert_eq!(back, data);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn huge_byte_length_is_truncation_not_allocation() {
+        let words = [u64::MAX >> 1, 0];
+        let mut r = WordReader::new(&words);
+        assert_eq!(r.bytes(), Err(SerialError::Truncated { at: 2 }));
     }
 
     #[test]

@@ -660,7 +660,7 @@ mod tests {
         // 4 pages of 256 bytes; cache 1 KB, 16-byte lines.
         (
             Cache::new(CacheKind::Data, 1024, 16, 256),
-            PhysMemory::new(64 * 1024),
+            PhysMemory::new(64 * 1024, 256),
         )
     }
 
@@ -774,7 +774,7 @@ mod tests {
     #[should_panic(expected = "data cache")]
     fn icache_rejects_writes() {
         let mut c = Cache::new(CacheKind::Insn, 512, 16, 256);
-        let mut mem = PhysMemory::new(1024);
+        let mut mem = PhysMemory::new(1024, 256);
         c.write(VAddr(0), PAddr(0), &mut mem, &1u32.to_le_bytes());
     }
 
@@ -891,7 +891,7 @@ mod tests {
     #[test]
     fn victim_way_counts_track_replacement_pointers() {
         let mut c = Cache::with_associativity(CacheKind::Data, 1024, 16, 256, 2);
-        let mut mem = PhysMemory::new(64 * 1024);
+        let mut mem = PhysMemory::new(64 * 1024, 256);
         // 32 sets, 2 ways: power-up state points every set at way 0.
         assert_eq!(c.victim_way_counts(), vec![32, 0]);
         // Fill both ways of set 0, then force one eviction: set 0's
@@ -915,7 +915,7 @@ mod tests {
     #[test]
     fn purged_cache_evicts_like_a_fresh_one() {
         let build = || Cache::with_associativity(CacheKind::Data, 1024, 16, 256, 2);
-        let mut mem = PhysMemory::new(64 * 1024);
+        let mut mem = PhysMemory::new(64 * 1024, 256);
 
         // Advance the victim pointer: fill both ways of set 0, then force
         // an eviction (round robin moves off way 0).

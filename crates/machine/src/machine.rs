@@ -4,6 +4,7 @@
 use crate::cache::{AccessResult, Cache};
 use crate::config::{words_in_block, MachineConfig};
 use crate::cpu::Cpu;
+use crate::mem::le_word;
 use crate::mmu::{Pte, Translation};
 use crate::oracle::Oracle;
 use crate::shared::SharedState;
@@ -65,12 +66,6 @@ impl std::fmt::Display for Fault {
             } => write!(f, "protection ({prot}) denies {access} at {mapping}"),
         }
     }
-}
-
-/// A little-endian 32-bit word from a 4-byte slice of a line payload.
-#[inline]
-fn le_word(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 /// Section tag bracketing a whole machine's state in a word stream.
@@ -669,19 +664,20 @@ impl Machine {
                 for (slot, b) in group.iter_mut().zip(bytes.chunks_exact(4)) {
                     *slot = le_word(b);
                 }
-                self.shared.oracle.check_read_words(pa0, bytes, "CPU load");
             } else {
                 for (j, slot) in group.iter_mut().enumerate() {
                     let o = off + j * stride as usize;
-                    let b = &data[o..o + 4];
-                    self.shared
-                        .oracle
-                        .check_read(PAddr(pa0.0 + j as u64 * stride), b, "CPU load");
-                    *slot = le_word(b);
+                    *slot = le_word(&data[o..o + 4]);
                 }
             }
             i += k;
         }
+        // Loads never write the shadow, so checking the whole run after
+        // its last fill gives the per-word verdicts, in the same order.
+        let pa = self.cfg.paddr(pte.frame, self.cfg.offset(va));
+        self.shared
+            .oracle
+            .check_read_run(pa, stride, out, "CPU load");
         self.cpu.stats.loads += n;
         self.sample_tick();
         Ok(())
@@ -761,19 +757,18 @@ impl Machine {
                         for (b, v) in bytes.chunks_exact_mut(4).zip(group) {
                             b.copy_from_slice(&v.to_le_bytes());
                         }
-                        self.shared.oracle.record_write(pa0, bytes);
                     } else {
                         for (j, v) in group.iter().enumerate() {
                             let o = off + j * stride as usize;
-                            let b = &mut data[o..o + 4];
-                            b.copy_from_slice(&v.to_le_bytes());
-                            self.shared
-                                .oracle
-                                .record_write(PAddr(pa0.0 + j as u64 * stride), b);
+                            data[o..o + 4].copy_from_slice(&v.to_le_bytes());
                         }
                     }
                     i += k;
                 }
+                // Fills and write-backs never read the shadow, so one
+                // record of the whole run leaves the word loop's shadow.
+                let pa = self.cfg.paddr(pte.frame, self.cfg.offset(va));
+                self.shared.oracle.record_write_run(pa, stride, values);
             }
             crate::config::WritePolicy::WriteThrough => {
                 // No-write-allocate: line residency is fixed for the whole

@@ -24,11 +24,12 @@ pub struct SharedState {
 }
 
 impl SharedState {
-    /// Zero-filled memory with a matching, clean oracle.
+    /// Zero-filled memory with a matching, clean oracle. Both hold their
+    /// bytes a simulated page at a time, materialised on first write.
     pub(crate) fn new(cfg: &MachineConfig) -> Self {
         SharedState {
-            mem: PhysMemory::new(cfg.mem_bytes),
-            oracle: Oracle::new(cfg.mem_bytes),
+            mem: PhysMemory::new(cfg.mem_bytes, cfg.page_size),
+            oracle: Oracle::new(cfg.mem_bytes, cfg.page_size),
         }
     }
 

@@ -35,9 +35,9 @@ impl Twin {
         slow.set_fast_paths(false);
         Twin {
             fast: build(),
-            fast_mem: PhysMemory::new(MEM_BYTES),
+            fast_mem: PhysMemory::new(MEM_BYTES, PAGE_SIZE),
             slow,
-            slow_mem: PhysMemory::new(MEM_BYTES),
+            slow_mem: PhysMemory::new(MEM_BYTES, PAGE_SIZE),
         }
     }
 

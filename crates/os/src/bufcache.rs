@@ -28,12 +28,16 @@ impl std::fmt::Display for BlockId {
     }
 }
 
-/// The simulated disk: an array of page-sized blocks.
+/// The simulated disk: an array of page-sized blocks. A block gets
+/// storage on its first write and keeps it, overwritten in place, until
+/// it is released.
 #[derive(Debug, Clone)]
 pub struct Disk {
     blocks: Vec<Option<Box<[u8]>>>,
     block_size: u64,
     free: Vec<BlockId>,
+    /// What every never-written block reads as.
+    zero: Box<[u8]>,
 }
 
 impl Disk {
@@ -44,6 +48,7 @@ impl Disk {
             blocks: vec![None; num_blocks as usize],
             block_size,
             free: (0..num_blocks).rev().map(BlockId).collect(),
+            zero: vec![0; block_size as usize].into_boxed_slice(),
         }
     }
 
@@ -73,11 +78,8 @@ impl Disk {
     }
 
     /// The block's contents (all zero if never written).
-    pub fn read(&self, b: BlockId) -> Vec<u8> {
-        match &self.blocks[b.0 as usize] {
-            Some(d) => d.to_vec(),
-            None => vec![0; self.block_size as usize],
-        }
+    pub fn read(&self, b: BlockId) -> &[u8] {
+        self.blocks[b.0 as usize].as_deref().unwrap_or(&self.zero)
     }
 
     /// Overwrite the block.
@@ -87,7 +89,10 @@ impl Disk {
     /// Panics if `data` is not exactly one block.
     pub fn write(&mut self, b: BlockId, data: &[u8]) {
         assert_eq!(data.len() as u64, self.block_size);
-        self.blocks[b.0 as usize] = Some(data.to_vec().into_boxed_slice());
+        match &mut self.blocks[b.0 as usize] {
+            Some(block) => block.copy_from_slice(data),
+            empty => *empty = Some(data.into()),
+        }
     }
 
     /// Serialize the block contents and the free list. The free list is a
@@ -352,12 +357,14 @@ mod tests {
         assert_eq!(d.free_blocks(), 4);
         let b = d.alloc().unwrap();
         assert_eq!(b, BlockId(0), "blocks allocated in order");
-        assert_eq!(d.read(b), vec![0; 256], "fresh block reads zero");
-        d.write(b, &vec![7u8; 256]);
+        assert_eq!(d.read(b), [0; 256], "fresh block reads zero");
+        d.write(b, &[7u8; 256]);
         assert_eq!(d.read(b)[0], 7);
+        d.write(b, &[8u8; 256]);
+        assert_eq!(d.read(b), [8; 256], "rewritten in place");
         d.release(b);
         assert_eq!(d.free_blocks(), 4);
-        assert_eq!(d.read(b), vec![0; 256], "released block is cleared");
+        assert_eq!(d.read(b), [0; 256], "released block is cleared");
     }
 
     #[test]

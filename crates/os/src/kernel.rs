@@ -206,6 +206,9 @@ pub struct Kernel {
     /// Reusable scratch for constant-fill runs (zero-fill): sized once,
     /// never reallocated in the steady state.
     run_buf: Vec<u32>,
+    /// The page a device reads out of memory on its way to disk or swap
+    /// (DMA-read scratch, one page, reused by every transfer).
+    dma_page: Box<[u8]>,
 }
 
 impl std::fmt::Debug for Kernel {
@@ -255,6 +258,7 @@ impl Kernel {
             align_mod,
             seq: 1,
             run_buf: Vec::new(),
+            dma_page: vec![0; cfg.machine.page_size as usize].into_boxed_slice(),
             machine,
         }
     }
@@ -553,9 +557,8 @@ impl Kernel {
             DmaDir::Read,
             AccessHints::default(),
         );
-        let mut data = vec![0u8; self.page_size() as usize];
-        self.machine.dma_read_page(frame, &mut data);
-        self.swap.write(block, &data);
+        self.machine.dma_read_page(frame, &mut self.dma_page);
+        self.swap.write(block, &self.dma_page);
         self.trace(TraceEvent::OsDma {
             dir: DmaDir::Read,
             frame,
@@ -605,8 +608,7 @@ impl Kernel {
             DmaDir::Write,
             AccessHints::discards(),
         );
-        let data = self.swap.read(block);
-        self.machine.dma_write_page(frame, &data);
+        self.machine.dma_write_page(frame, self.swap.read(block));
         self.trace(TraceEvent::OsDma {
             dir: DmaDir::Write,
             frame,
@@ -896,7 +898,7 @@ impl Kernel {
     }
 
     /// Access a run of words with fault resolution — equivalent to calling
-    /// [`Kernel::access_word`] per word, but only each page's *first* word
+    /// `Kernel::access_word` per word, but only each page's *first* word
     /// goes through the faulting path: once it succeeds, the page's
     /// mapping exists and its effective protection admits the access, and
     /// nothing below touches the pmap, so the rest of the page cannot
@@ -1483,9 +1485,8 @@ impl Kernel {
                 DmaDir::Read,
                 AccessHints::default(),
             );
-            let mut data = vec![0u8; k.page_size() as usize];
-            k.machine.dma_read_page(buf.frame, &mut data);
-            k.disk.write(buf.block, &data);
+            k.machine.dma_read_page(buf.frame, &mut k.dma_page);
+            k.disk.write(buf.block, &k.dma_page);
             k.stats.buf_writebacks += 1;
             k.trace(TraceEvent::OsDma {
                 dir: DmaDir::Read,
@@ -1539,8 +1540,7 @@ impl Kernel {
                 DmaDir::Write,
                 AccessHints::discards(),
             );
-            let data = self.disk.read(block);
-            self.machine.dma_write_page(frame, &data);
+            self.machine.dma_write_page(frame, self.disk.read(block));
             self.trace(TraceEvent::OsDma {
                 dir: DmaDir::Write,
                 frame,

@@ -104,7 +104,11 @@ impl std::error::Error for JsonError {}
 /// A [`JsonError`] locating the first offending byte.
 pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        bytes,
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -114,7 +118,12 @@ pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
     Ok(v)
 }
 
+/// Strings and numbers are cut from `text` at ASCII delimiters only (a
+/// quote, a backslash, a control byte, the end of an escape or of a
+/// number), which are always char boundaries, so the slices need no
+/// UTF-8 re-validation.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -240,10 +249,7 @@ impl Parser<'_> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -332,9 +338,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.err("malformed number"))
     }
@@ -374,6 +379,17 @@ mod tests {
         // Surrogate pair (clef symbol).
         let v = parse_json(r#""𝄞""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{1d11e}"));
+    }
+
+    #[test]
+    fn multibyte_text_between_escapes() {
+        // Two-, three- and four-byte UTF-8 sequences directly before and
+        // after escapes, in keys and values: every cut lands on the ASCII
+        // byte of an escape or quote, never inside a sequence.
+        let doc = r#"{"clé\n": "ü\t日本\"🎉\u00e9€", "n": -2.5e1}"#;
+        let v = parse_json(doc).unwrap();
+        assert_eq!(v.get("clé\n").unwrap().as_str(), Some("ü\t日本\"🎉é€"));
+        assert_eq!(v.get("n").unwrap().as_f64(), Some(-25.0));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! global allocator: with the profiler off (the default), the machine's
 //! access hot path — loads, stores, ifetches, including misses and
 //! writebacks, and the bulk-run engine's `load_run` / `store_run` /
-//! `copy_run` — performs **zero heap allocations**. The disabled
+//! `copy_run` — performs **zero heap allocations**, and so do first
+//! writes to memory and whole-page DMA transfers. The disabled
 //! profiler is one `Option` discriminant test per span site, nothing
 //! more.
 //!
@@ -15,6 +16,7 @@ use std::cell::Cell;
 
 use vic_core::types::{Mapping, PFrame, Prot, SpaceId, VAddr, VPage};
 use vic_machine::{Machine, MachineConfig};
+use vic_os::bufcache::Disk;
 use vic_profile::Profiler;
 
 struct CountingAlloc;
@@ -189,6 +191,39 @@ fn bulk_runs_allocate_nothing() {
     );
     assert_eq!(out, vals, "the last load read the copied words back");
     assert_eq!(m.oracle().violations(), 0, "no aliasing, no staleness");
+}
+
+#[test]
+fn first_writes_and_dma_pages_allocate_nothing() {
+    // Memory and the oracle's shadow give a page storage on its first
+    // write, inside capacity reserved at boot; a DMA page moves through a
+    // caller's buffer, and a disk block already written is overwritten in
+    // place and lent back without a copy.
+    let mut m = Machine::new(MachineConfig::small());
+    let size = m.config().page_size as usize;
+    let frames = m.config().num_frames();
+    let page = vec![0x5au8; size];
+    let mut back = vec![0u8; size];
+    let mut disk = Disk::new(2, size as u64);
+    let b = disk.alloc().unwrap();
+    disk.write(b, &page);
+    let (allocs, ()) = allocations_during(|| {
+        for f in 0..frames {
+            // Never written: reads the zero page, materialises nothing.
+            m.dma_read_page(PFrame(f), &mut back);
+            // First write of the frame's memory and shadow pages.
+            m.dma_write_page(PFrame(f), &page);
+            m.dma_read_page(PFrame(f), &mut back);
+            disk.write(b, &back);
+            m.dma_write_page(PFrame(f), disk.read(b));
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "first writes and DMA pages must not touch the heap"
+    );
+    assert_eq!(back, page);
+    assert_eq!(m.oracle().violations(), 0);
 }
 
 #[test]

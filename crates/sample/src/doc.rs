@@ -5,7 +5,7 @@
 //! writer); this crate carries the dependency-free reader so anything
 //! linking `vic-sample` — the harness included — can validate a committed
 //! calibration fixture. A document records, per calibration cell, the
-//! sampled estimate and full-run actual of every [`METRICS`] counter, the
+//! sampled estimate and full-run actual of every [`crate::extrapolate::METRICS`] counter, the
 //! recomputable relative errors, and the measured host speedup. CI keeps
 //! the fixture honest: `sample --check` re-derives every error from the
 //! raw numbers and re-asserts the bound.

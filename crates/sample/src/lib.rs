@@ -20,10 +20,10 @@
 //!    consistency state evolve while counters stay untouched;
 //! 2. **measurement window** — thaw, reset every counter
 //!    ([`vic_os::Kernel::reset_stat_counters`]), drive exactly one
-//!    interval, and record the per-interval [`RunStats`] and
+//!    interval, and record the per-interval [`vic_workloads::RunStats`] and
 //!    [`CostTree`](vic_profile::CostTree) deltas.
 //!
-//! The [`extrapolate`] module scales interval measurements to a full-run
+//! The [`extrapolate`](mod@extrapolate) module scales interval measurements to a full-run
 //! estimate with an exact integer path when the measured intervals tile
 //! the whole steady rep (sampling fraction 1.0 conserves every counter
 //! bit-for-bit). The [`doc`] module reads the versioned calibration

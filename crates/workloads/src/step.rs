@@ -1,6 +1,6 @@
 //! Stepwise workload execution: the machinery behind checkpoint/restore.
 //!
-//! A monolithic [`Workload::run`](crate::runner::Workload::run) cannot be
+//! A monolithic [`crate::runner::Workload::run`] cannot be
 //! interrupted mid-flight: its progress lives in Rust stack frames, which
 //! no serializer can reach. Every driver in this crate therefore implements
 //! [`StepWorkload`] instead — a resumable state machine whose *entire*
