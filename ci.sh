@@ -90,14 +90,25 @@ echo "=== bulk-vs-word smoke (--no-fast-paths) ==="
 # report (simulated values only — no host wall time on stdout) must be
 # byte-identical with the fast paths force-disabled. The determinism
 # suite proves this over the whole quick grids; this smoke keeps the flag
-# itself honest.
+# itself honest. The write-through and uncached (Sun) specs cover the bulk
+# engine's other accounting paths.
 bulk_out="$(mktemp)"; word_out="$(mktemp)"
-cargo run --release -p vic-bench --bin run --offline -q -- \
-    kernel-build F --quick >"$bulk_out"
-cargo run --release -p vic-bench --bin run --offline -q -- \
-    kernel-build F --quick --no-fast-paths >"$word_out"
-cmp "$bulk_out" "$word_out" || { echo "bulk runs changed observable output"; exit 1; }
+for spec in "kernel-build F" "kernel-build F --write-through" "afs-bench sun"; do
+    cargo run --release -p vic-bench --bin run --offline -q -- \
+        $spec --quick >"$bulk_out"
+    cargo run --release -p vic-bench --bin run --offline -q -- \
+        $spec --quick --no-fast-paths >"$word_out"
+    cmp "$bulk_out" "$word_out" || { echo "bulk runs changed observable output ($spec)"; exit 1; }
+done
 rm -f "$bulk_out" "$word_out"
+
+echo "=== repeat smoke (kernel-build F --repeat 8) ==="
+# Repetitions run back to back on one kernel, so a driver that leaks disk
+# blocks fails with "disk full" a few repetitions in. The paper-scale
+# kernel-build, the largest file footprint, must finish oracle-clean.
+cargo run --release -p vic-bench --bin run --offline -q -- \
+    kernel-build F --repeat 8 >/dev/null \
+    || { echo "repeated kernel-build failed"; exit 1; }
 
 echo "=== checkpoint smoke (--checkpoint-at / --restore round trip) ==="
 # Pausing a run into a checkpoint and resuming it in a new process must

@@ -248,7 +248,7 @@ impl Cache {
         let idx = match self.ways_of(set).find(|&i| !self.lines[i].valid) {
             Some(free) => free,
             None => {
-                let v = self.victim[set] as usize % self.assoc as usize;
+                let v = self.victim[set] as usize & (self.assoc as usize - 1);
                 self.victim[set] = self.victim[set].wrapping_add(1);
                 set * self.assoc as usize + v
             }
@@ -367,7 +367,7 @@ impl Cache {
     /// the line index, whose payload is reachable through
     /// [`Cache::line_data`] / [`Cache::line_data_mut`]. Forced inline
     /// into the bulk engine's per-line loops, like
-    /// `Machine::charge_cached_access`.
+    /// `Machine::charge_access`.
     #[inline(always)]
     pub fn touch_line(
         &mut self,
@@ -563,7 +563,7 @@ impl Cache {
     pub fn victim_way_counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.assoc as usize];
         for &v in &self.victim {
-            counts[v as usize % self.assoc as usize] += 1;
+            counts[v as usize & (self.assoc as usize - 1)] += 1;
         }
         counts
     }

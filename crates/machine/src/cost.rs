@@ -84,6 +84,118 @@ impl Default for CycleCosts {
     }
 }
 
+/// Every operation the machine charges cycles for. Each one names its
+/// profiler leaf and the `MachineStats` counters it bumps, and
+/// `Machine::account` is the one place an operation moves the clock, so
+/// the cycle account, the counters and the cost tree agree by
+/// construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CostOp {
+    LoadHit,
+    LoadMiss,
+    LoadWriteback,
+    LoadUncached,
+    StoreHit,
+    StoreMiss,
+    StoreWriteback,
+    StoreUncached,
+    WriteThroughHit,
+    WriteThroughMiss,
+    IFetchHit,
+    IFetchMiss,
+    IFetchUncached,
+    TlbFill,
+    FaultTrap,
+    MappingUpdate,
+    /// Kernel software work; the caller passes its cycles.
+    Software,
+    /// Priced by the lines the page holds.
+    FlushPageD,
+    /// Priced by the lines the page holds.
+    PurgePageD,
+    PurgePageI,
+    DmaWrite,
+    DmaRead,
+}
+
+impl CostOp {
+    /// The profiler leaf the operation is charged to.
+    pub(crate) const fn leaf(self) -> &'static str {
+        match self {
+            CostOp::LoadHit => "load.hit",
+            CostOp::LoadMiss => "load.miss",
+            CostOp::LoadWriteback => "load.writeback",
+            CostOp::LoadUncached => "load.uncached",
+            CostOp::StoreHit => "store.hit",
+            CostOp::StoreMiss => "store.miss",
+            CostOp::StoreWriteback => "store.writeback",
+            CostOp::StoreUncached => "store.uncached",
+            CostOp::WriteThroughHit | CostOp::WriteThroughMiss => "store.write_through",
+            CostOp::IFetchHit => "ifetch.hit",
+            CostOp::IFetchMiss => "ifetch.miss",
+            CostOp::IFetchUncached => "ifetch.uncached",
+            CostOp::TlbFill => "tlb_fill",
+            CostOp::FaultTrap => "fault_trap",
+            CostOp::MappingUpdate => "mapping_update",
+            CostOp::Software => "software",
+            CostOp::FlushPageD => "flush_page.d",
+            CostOp::PurgePageD => "purge_page.d",
+            CostOp::PurgePageI => "purge_page.i",
+            CostOp::DmaWrite => "dma.write",
+            CostOp::DmaRead => "dma.read",
+        }
+    }
+
+    /// Cycles one operation costs. DMA is free to the CPU.
+    ///
+    /// # Panics
+    ///
+    /// Panics for the operations whose cost depends on the caller
+    /// (`Software`, `FlushPageD`, `PurgePageD`).
+    #[inline(always)]
+    pub(crate) fn unit(self, c: &CycleCosts) -> u64 {
+        match self {
+            CostOp::LoadHit | CostOp::StoreHit | CostOp::IFetchHit => c.cache_hit,
+            CostOp::LoadMiss | CostOp::StoreMiss | CostOp::IFetchMiss => c.cache_hit + c.miss_fill,
+            CostOp::LoadWriteback | CostOp::StoreWriteback => c.writeback,
+            CostOp::LoadUncached | CostOp::StoreUncached | CostOp::IFetchUncached => {
+                c.uncached_access
+            }
+            CostOp::WriteThroughHit | CostOp::WriteThroughMiss => c.cache_hit + c.writeback,
+            CostOp::TlbFill => c.tlb_miss,
+            CostOp::FaultTrap => c.fault_trap,
+            CostOp::MappingUpdate => c.mapping_update,
+            CostOp::PurgePageI => c.icache_purge_page,
+            CostOp::DmaWrite | CostOp::DmaRead => 0,
+            CostOp::Software | CostOp::FlushPageD | CostOp::PurgePageD => {
+                unreachable!("{self:?} is priced by its caller")
+            }
+        }
+    }
+}
+
+/// The operations one kind of cached data access charges: a hit, a miss,
+/// and the victim write-back a miss may cause.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AccessOps {
+    pub(crate) hit: CostOp,
+    pub(crate) miss: CostOp,
+    pub(crate) writeback: CostOp,
+}
+
+impl AccessOps {
+    pub(crate) const LOAD: AccessOps = AccessOps {
+        hit: CostOp::LoadHit,
+        miss: CostOp::LoadMiss,
+        writeback: CostOp::LoadWriteback,
+    };
+    pub(crate) const STORE: AccessOps = AccessOps {
+        hit: CostOp::StoreHit,
+        miss: CostOp::StoreMiss,
+        writeback: CostOp::StoreWriteback,
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

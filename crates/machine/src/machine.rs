@@ -2,7 +2,8 @@
 //! mapping control and the cycle account.
 
 use crate::cache::{AccessResult, Cache};
-use crate::config::{words_in_block, MachineConfig};
+use crate::config::{words_in_block, MachineConfig, WritePolicy};
+use crate::cost::{AccessOps, CostOp};
 use crate::cpu::Cpu;
 use crate::mem::le_word;
 use crate::mmu::{Pte, Translation};
@@ -201,9 +202,26 @@ impl Machine {
     /// Charge kernel software cycles to the account (fault service,
     /// bookkeeping, mapping updates).
     pub fn charge(&mut self, cycles: u64) {
-        self.cpu.cycles += cycles;
-        self.profiler.leaf("software", cycles);
+        self.account(CostOp::Software, 1, cycles);
         self.sample_tick();
+    }
+
+    /// The one place the clock moves: charge `n` operations `op` costing
+    /// `cycles` in total to the cycle account, the profiler and the
+    /// counters, so the three agree by construction.
+    #[inline(always)]
+    fn account(&mut self, op: CostOp, n: u64, cycles: u64) {
+        self.cpu.cycles += cycles;
+        self.profiler.leaf_n(op.leaf(), n, cycles);
+        self.cpu.stats.count(op, n, cycles);
+    }
+
+    /// Charge `n` fixed-cost operations `op`; returns the cycles charged.
+    #[inline(always)]
+    fn charge_op(&mut self, op: CostOp, n: u64) -> u64 {
+        let cycles = n * op.unit(&self.cfg.costs);
+        self.account(op, n, cycles);
+        cycles
     }
 
     /// Reset the cycle account and counters (after warm-up), keeping all
@@ -276,30 +294,26 @@ impl Machine {
                     pte
                 }
                 Translation::TlbMiss(pte) => {
-                    self.cpu.cycles += self.cfg.costs.tlb_miss;
-                    self.profiler.leaf("tlb_fill", self.cfg.costs.tlb_miss);
-                    self.cpu.stats.tlb_misses += 1;
+                    let cost = self.charge_op(CostOp::TlbFill, 1);
                     self.tracer.emit(
                         self.cpu.cycles,
                         TraceEvent::TlbFill {
                             space: m.space,
                             vpage: m.vpage,
-                            cost: self.cfg.costs.tlb_miss,
+                            cost,
                         },
                     );
                     self.cpu.xlate_cache = Some((m, pte));
                     pte
                 }
                 Translation::Unmapped => {
-                    self.cpu.cycles += self.cfg.costs.fault_trap;
-                    self.profiler.leaf("fault_trap", self.cfg.costs.fault_trap);
+                    self.charge_op(CostOp::FaultTrap, 1);
                     return Err(Fault::NoMapping { mapping: m, access });
                 }
             },
         };
         if !pte.prot.allows(access) {
-            self.cpu.cycles += self.cfg.costs.fault_trap;
-            self.profiler.leaf("fault_trap", self.cfg.costs.fault_trap);
+            self.charge_op(CostOp::FaultTrap, 1);
             return Err(Fault::Protection {
                 mapping: m,
                 access,
@@ -320,40 +334,15 @@ impl Machine {
         let pte = self.translate(m, Access::Read)?;
         let pa = self.cfg.paddr(pte.frame, self.cfg.offset(va));
         let t0 = self.cpu.cycles;
-        let mut hit = true;
         let mut buf = [0u8; 4];
-        if pte.uncached {
+        let hit = if pte.uncached {
             self.shared.mem.read(pa, &mut buf);
-            self.cpu.cycles += self.cfg.costs.uncached_access;
-            self.profiler
-                .leaf("load.uncached", self.cfg.costs.uncached_access);
-            self.cpu.stats.uncached += 1;
+            self.charge_op(CostOp::LoadUncached, 1);
+            true
         } else {
-            match self.cpu.dcache.read(va, pa, &mut self.shared.mem, &mut buf) {
-                AccessResult::Hit => {
-                    self.cpu.cycles += self.cfg.costs.cache_hit;
-                    self.profiler.leaf("load.hit", self.cfg.costs.cache_hit);
-                    self.cpu.stats.d_hits += 1;
-                }
-                AccessResult::Miss { wrote_back } => {
-                    self.cpu.cycles += self.cfg.costs.cache_hit + self.cfg.costs.miss_fill;
-                    self.profiler.leaf(
-                        "load.miss",
-                        self.cfg.costs.cache_hit + self.cfg.costs.miss_fill,
-                    );
-                    self.cpu.stats.d_misses += 1;
-                    hit = false;
-                    if wrote_back {
-                        self.cpu.cycles += self.cfg.costs.writeback;
-                        self.profiler
-                            .leaf("load.writeback", self.cfg.costs.writeback);
-                        self.cpu.stats.writebacks += 1;
-                        self.emit_writeback(va, pte.frame);
-                    }
-                }
-            }
-        }
-        self.cpu.stats.loads += 1;
+            let res = self.cpu.dcache.read(va, pa, &mut self.shared.mem, &mut buf);
+            self.charge_access(res, AccessOps::LOAD, va, pte.frame)
+        };
         self.shared.oracle.check_read(pa, &buf, "CPU load");
         self.tracer.emit(
             self.cpu.cycles,
@@ -380,63 +369,29 @@ impl Machine {
         let pa = self.cfg.paddr(pte.frame, self.cfg.offset(va));
         let bytes = value.to_le_bytes();
         let t0 = self.cpu.cycles;
-        let mut hit = true;
-        if pte.uncached {
+        let hit = if pte.uncached {
             self.shared.mem.write(pa, &bytes);
-            self.cpu.cycles += self.cfg.costs.uncached_access;
-            self.profiler
-                .leaf("store.uncached", self.cfg.costs.uncached_access);
-            self.cpu.stats.uncached += 1;
+            self.charge_op(CostOp::StoreUncached, 1);
+            true
+        } else if self.cfg.write_policy == WritePolicy::WriteBack {
+            let res = self.cpu.dcache.write(va, pa, &mut self.shared.mem, &bytes);
+            self.charge_access(res, AccessOps::STORE, va, pte.frame)
         } else {
-            match self.cfg.write_policy {
-                crate::config::WritePolicy::WriteBack => {
-                    match self.cpu.dcache.write(va, pa, &mut self.shared.mem, &bytes) {
-                        AccessResult::Hit => {
-                            self.cpu.cycles += self.cfg.costs.cache_hit;
-                            self.profiler.leaf("store.hit", self.cfg.costs.cache_hit);
-                            self.cpu.stats.d_hits += 1;
-                        }
-                        AccessResult::Miss { wrote_back } => {
-                            self.cpu.cycles += self.cfg.costs.cache_hit + self.cfg.costs.miss_fill;
-                            self.profiler.leaf(
-                                "store.miss",
-                                self.cfg.costs.cache_hit + self.cfg.costs.miss_fill,
-                            );
-                            self.cpu.stats.d_misses += 1;
-                            hit = false;
-                            if wrote_back {
-                                self.cpu.cycles += self.cfg.costs.writeback;
-                                self.profiler
-                                    .leaf("store.writeback", self.cfg.costs.writeback);
-                                self.cpu.stats.writebacks += 1;
-                                self.emit_writeback(va, pte.frame);
-                            }
-                        }
-                    }
-                }
-                crate::config::WritePolicy::WriteThrough => {
-                    // Every store pays the memory write; a hit also updates
-                    // the line.
-                    match self
-                        .cpu
-                        .dcache
-                        .write_through(va, pa, &mut self.shared.mem, &bytes)
-                    {
-                        AccessResult::Hit => self.cpu.stats.d_hits += 1,
-                        AccessResult::Miss { .. } => {
-                            self.cpu.stats.d_misses += 1;
-                            hit = false;
-                        }
-                    }
-                    self.cpu.cycles += self.cfg.costs.cache_hit + self.cfg.costs.writeback;
-                    self.profiler.leaf(
-                        "store.write_through",
-                        self.cfg.costs.cache_hit + self.cfg.costs.writeback,
-                    );
-                }
-            }
-        }
-        self.cpu.stats.stores += 1;
+            // Every store pays the memory write; a hit also updates the
+            // line.
+            let res = self
+                .cpu
+                .dcache
+                .write_through(va, pa, &mut self.shared.mem, &bytes);
+            let hit = res == AccessResult::Hit;
+            let op = if hit {
+                CostOp::WriteThroughHit
+            } else {
+                CostOp::WriteThroughMiss
+            };
+            self.charge_op(op, 1);
+            hit
+        };
         self.shared.oracle.record_write(pa, &bytes);
         self.tracer.emit(
             self.cpu.cycles,
@@ -464,33 +419,24 @@ impl Machine {
         let pte = self.translate(m, Access::Execute)?;
         let pa = self.cfg.paddr(pte.frame, self.cfg.offset(va));
         let t0 = self.cpu.cycles;
-        let mut hit = true;
         let mut buf = [0u8; 4];
-        if pte.uncached {
+        let hit = if pte.uncached {
             self.shared.mem.read(pa, &mut buf);
-            self.cpu.cycles += self.cfg.costs.uncached_access;
-            self.profiler
-                .leaf("ifetch.uncached", self.cfg.costs.uncached_access);
-            self.cpu.stats.uncached += 1;
+            self.charge_op(CostOp::IFetchUncached, 1);
+            true
         } else {
-            match self.cpu.icache.read(va, pa, &mut self.shared.mem, &mut buf) {
-                AccessResult::Hit => {
-                    self.cpu.cycles += self.cfg.costs.cache_hit;
-                    self.profiler.leaf("ifetch.hit", self.cfg.costs.cache_hit);
-                    self.cpu.stats.i_hits += 1;
-                }
-                AccessResult::Miss { .. } => {
-                    self.cpu.cycles += self.cfg.costs.cache_hit + self.cfg.costs.miss_fill;
-                    self.profiler.leaf(
-                        "ifetch.miss",
-                        self.cfg.costs.cache_hit + self.cfg.costs.miss_fill,
-                    );
-                    self.cpu.stats.i_misses += 1;
-                    hit = false;
-                }
-            }
-        }
-        self.cpu.stats.ifetches += 1;
+            // The instruction cache is never dirty: a miss writes nothing
+            // back.
+            let res = self.cpu.icache.read(va, pa, &mut self.shared.mem, &mut buf);
+            let hit = res == AccessResult::Hit;
+            let op = if hit {
+                CostOp::IFetchHit
+            } else {
+                CostOp::IFetchMiss
+            };
+            self.charge_op(op, 1);
+            hit
+        };
         self.shared.oracle.check_read(pa, &buf, "instruction fetch");
         self.tracer.emit(
             self.cpu.cycles,
@@ -553,41 +499,46 @@ impl Machine {
             && span <= self.cfg.page_size
     }
 
-    /// Charge one cached data access exactly as the word loop does — the
-    /// shared accounting of `load`/`store` on the write-back path, reused
-    /// by the bulk engine for each line's first touching word. Forced
-    /// inline: it runs once per line, and as a call it cost the bulk
+    /// Charge one cached data access: a hit, or a miss plus the victim
+    /// write-back it may cause. Returns whether it hit. Forced inline: the
+    /// bulk engine runs it once per line, and as a call it cost the bulk
     /// loops about 15% on a 2-core Xeon host.
     #[inline(always)]
-    fn charge_cached_access(
+    fn charge_access(
         &mut self,
         res: AccessResult,
-        hit_op: &'static str,
-        miss_op: &'static str,
-        wb_op: &'static str,
+        ops: AccessOps,
         va: VAddr,
         frame: PFrame,
-    ) {
-        let costs = self.cfg.costs;
-        match res {
-            AccessResult::Hit => {
-                self.cpu.cycles += costs.cache_hit;
-                self.profiler.leaf(hit_op, costs.cache_hit);
-                self.cpu.stats.d_hits += 1;
-            }
-            AccessResult::Miss { wrote_back } => {
-                self.cpu.cycles += costs.cache_hit + costs.miss_fill;
-                self.profiler
-                    .leaf(miss_op, costs.cache_hit + costs.miss_fill);
-                self.cpu.stats.d_misses += 1;
-                if wrote_back {
-                    self.cpu.cycles += costs.writeback;
-                    self.profiler.leaf(wb_op, costs.writeback);
-                    self.cpu.stats.writebacks += 1;
-                    self.emit_writeback(va, frame);
-                }
-            }
+    ) -> bool {
+        let AccessResult::Miss { wrote_back } = res else {
+            self.charge_op(ops.hit, 1);
+            return true;
+        };
+        self.charge_op(ops.miss, 1);
+        if wrote_back {
+            self.charge_op(ops.writeback, 1);
+            self.emit_writeback(va, frame);
         }
+        false
+    }
+
+    /// One group of `k` words of a run that share a line: one real access
+    /// to the line at `w0`, then `k - 1` hits (a run never evicts its own
+    /// lines). Returns the line's index.
+    #[inline(always)]
+    fn touch_group(
+        &mut self,
+        w0: VAddr,
+        pa0: PAddr,
+        k: usize,
+        ops: AccessOps,
+        frame: PFrame,
+    ) -> usize {
+        let (res, idx) = self.cpu.dcache.touch_line(w0, pa0, &mut self.shared.mem);
+        self.charge_access(res, ops, w0, frame);
+        self.charge_op(ops.hit, k as u64 - 1);
+        idx
     }
 
     /// CPU load of a run of aligned 32-bit words, `stride` bytes apart —
@@ -617,8 +568,6 @@ impl Machine {
         }
         let m = Mapping::new(space, self.cfg.vpage(va));
         let pte = self.translate(m, Access::Read)?;
-        let costs = self.cfg.costs;
-        let n = out.len() as u64;
         if pte.uncached {
             for (i, slot) in out.iter_mut().enumerate() {
                 let w = VAddr(va.0 + i as u64 * stride);
@@ -628,11 +577,7 @@ impl Machine {
                 self.shared.oracle.check_read(pa, &buf, "CPU load");
                 *slot = u32::from_le_bytes(buf);
             }
-            self.cpu.cycles += n * costs.uncached_access;
-            self.profiler
-                .leaf_n("load.uncached", n, n * costs.uncached_access);
-            self.cpu.stats.uncached += n;
-            self.cpu.stats.loads += n;
+            self.charge_op(CostOp::LoadUncached, out.len() as u64);
             self.sample_tick();
             return Ok(());
         }
@@ -642,20 +587,7 @@ impl Machine {
             let w0 = VAddr(va.0 + i as u64 * stride);
             let k = words_in_block(w0.0, stride, self.cfg.line_size, out.len() - i);
             let pa0 = self.cfg.paddr(pte.frame, self.cfg.offset(w0));
-            let (res, idx) = self.cpu.dcache.touch_line(w0, pa0, &mut self.shared.mem);
-            self.charge_cached_access(
-                res,
-                "load.hit",
-                "load.miss",
-                "load.writeback",
-                w0,
-                pte.frame,
-            );
-            let rest = (k - 1) as u64;
-            self.cpu.cycles += rest * costs.cache_hit;
-            self.profiler
-                .leaf_n("load.hit", rest, rest * costs.cache_hit);
-            self.cpu.stats.d_hits += rest;
+            let idx = self.touch_group(w0, pa0, k, AccessOps::LOAD, pte.frame);
             let off = (pa0.0 & line_mask) as usize;
             let data = self.cpu.dcache.line_data(idx);
             let group = &mut out[i..i + k];
@@ -678,7 +610,6 @@ impl Machine {
         self.shared
             .oracle
             .check_read_run(pa, stride, out, "CPU load");
-        self.cpu.stats.loads += n;
         self.sample_tick();
         Ok(())
     }
@@ -708,7 +639,6 @@ impl Machine {
         }
         let m = Mapping::new(space, self.cfg.vpage(va));
         let pte = self.translate(m, Access::Write)?;
-        let costs = self.cfg.costs;
         let n = values.len() as u64;
         if pte.uncached {
             for (i, &v) in values.iter().enumerate() {
@@ -718,36 +648,19 @@ impl Machine {
                 self.shared.mem.write(pa, &bytes);
                 self.shared.oracle.record_write(pa, &bytes);
             }
-            self.cpu.cycles += n * costs.uncached_access;
-            self.profiler
-                .leaf_n("store.uncached", n, n * costs.uncached_access);
-            self.cpu.stats.uncached += n;
-            self.cpu.stats.stores += n;
+            self.charge_op(CostOp::StoreUncached, n);
             self.sample_tick();
             return Ok(());
         }
         match self.cfg.write_policy {
-            crate::config::WritePolicy::WriteBack => {
+            WritePolicy::WriteBack => {
                 let line_mask = self.cfg.line_size - 1;
                 let mut i = 0usize;
                 while i < values.len() {
                     let w0 = VAddr(va.0 + i as u64 * stride);
                     let k = words_in_block(w0.0, stride, self.cfg.line_size, values.len() - i);
                     let pa0 = self.cfg.paddr(pte.frame, self.cfg.offset(w0));
-                    let (res, idx) = self.cpu.dcache.touch_line(w0, pa0, &mut self.shared.mem);
-                    self.charge_cached_access(
-                        res,
-                        "store.hit",
-                        "store.miss",
-                        "store.writeback",
-                        w0,
-                        pte.frame,
-                    );
-                    let rest = (k - 1) as u64;
-                    self.cpu.cycles += rest * costs.cache_hit;
-                    self.profiler
-                        .leaf_n("store.hit", rest, rest * costs.cache_hit);
-                    self.cpu.stats.d_hits += rest;
+                    let idx = self.touch_group(w0, pa0, k, AccessOps::STORE, pte.frame);
                     self.cpu.dcache.mark_line_dirty(idx);
                     let off = (pa0.0 & line_mask) as usize;
                     let data = self.cpu.dcache.line_data_mut(idx);
@@ -770,7 +683,7 @@ impl Machine {
                 let pa = self.cfg.paddr(pte.frame, self.cfg.offset(va));
                 self.shared.oracle.record_write_run(pa, stride, values);
             }
-            crate::config::WritePolicy::WriteThrough => {
+            WritePolicy::WriteThrough => {
                 // No-write-allocate: line residency is fixed for the whole
                 // run, every word pays the memory write; hits also update
                 // the line — the per-word `write_through` call is kept, only
@@ -780,27 +693,17 @@ impl Machine {
                     let w = VAddr(va.0 + i as u64 * stride);
                     let pa = self.cfg.paddr(pte.frame, self.cfg.offset(w));
                     let bytes = v.to_le_bytes();
-                    match self
+                    let res = self
                         .cpu
                         .dcache
-                        .write_through(w, pa, &mut self.shared.mem, &bytes)
-                    {
-                        AccessResult::Hit => hits += 1,
-                        AccessResult::Miss { .. } => {}
-                    }
+                        .write_through(w, pa, &mut self.shared.mem, &bytes);
+                    hits += u64::from(res == AccessResult::Hit);
                     self.shared.oracle.record_write(pa, &bytes);
                 }
-                self.cpu.stats.d_hits += hits;
-                self.cpu.stats.d_misses += n - hits;
-                self.cpu.cycles += n * (costs.cache_hit + costs.writeback);
-                self.profiler.leaf_n(
-                    "store.write_through",
-                    n,
-                    n * (costs.cache_hit + costs.writeback),
-                );
+                self.charge_op(CostOp::WriteThroughHit, hits);
+                self.charge_op(CostOp::WriteThroughMiss, n - hits);
             }
         }
-        self.cpu.stats.stores += n;
         self.sample_tick();
         Ok(())
     }
@@ -881,33 +784,15 @@ impl Machine {
         let dst_m = Mapping::new(dst_space, self.cfg.vpage(dst_va));
         let src_pte = self.translate(src_m, Access::Read)?;
         let dst_pte = self.translate(dst_m, Access::Write)?;
-        let costs = self.cfg.costs;
         let line_mask = self.cfg.line_size - 1;
-        let write_through = matches!(
-            self.cfg.write_policy,
-            crate::config::WritePolicy::WriteThrough
-        );
+        let write_through = self.cfg.write_policy == WritePolicy::WriteThrough;
         let mut i = 0usize;
         while i < count {
             let s0 = VAddr(src_va.0 + i as u64 * 4);
             let d0 = VAddr(dst_va.0 + i as u64 * 4);
             let k = words_in_block(s0.0, 4, self.cfg.line_size, count - i);
-            let rest = (k - 1) as u64;
-            // Source line: one real access, k-1 guaranteed hits.
             let s_pa0 = self.cfg.paddr(src_pte.frame, self.cfg.offset(s0));
-            let (s_res, s_idx) = self.cpu.dcache.touch_line(s0, s_pa0, &mut self.shared.mem);
-            self.charge_cached_access(
-                s_res,
-                "load.hit",
-                "load.miss",
-                "load.writeback",
-                s0,
-                src_pte.frame,
-            );
-            self.cpu.cycles += rest * costs.cache_hit;
-            self.profiler
-                .leaf_n("load.hit", rest, rest * costs.cache_hit);
-            self.cpu.stats.d_hits += rest;
+            let s_idx = self.touch_group(s0, s_pa0, k, AccessOps::LOAD, src_pte.frame);
             let off = (s_pa0.0 & line_mask) as usize;
             let len = 4 * k;
             let d_pa0 = self.cfg.paddr(dst_pte.frame, self.cfg.offset(d0));
@@ -923,40 +808,18 @@ impl Machine {
                         .oracle
                         .check_read(PAddr(s_pa0.0 + 4 * j as u64), &buf, "CPU load");
                     let d_pa = PAddr(d_pa0.0 + 4 * j as u64);
-                    match self.cpu.dcache.write_through(
-                        VAddr(d0.0 + 4 * j as u64),
-                        d_pa,
-                        &mut self.shared.mem,
-                        &buf,
-                    ) {
-                        AccessResult::Hit => wt_hits += 1,
-                        AccessResult::Miss { .. } => {}
-                    }
+                    let d = VAddr(d0.0 + 4 * j as u64);
+                    let res = self
+                        .cpu
+                        .dcache
+                        .write_through(d, d_pa, &mut self.shared.mem, &buf);
+                    wt_hits += u64::from(res == AccessResult::Hit);
                     self.shared.oracle.record_write(d_pa, &buf);
                 }
-                let kw = k as u64;
-                self.cpu.stats.d_hits += wt_hits;
-                self.cpu.stats.d_misses += kw - wt_hits;
-                self.cpu.cycles += kw * (costs.cache_hit + costs.writeback);
-                self.profiler.leaf_n(
-                    "store.write_through",
-                    kw,
-                    kw * (costs.cache_hit + costs.writeback),
-                );
+                self.charge_op(CostOp::WriteThroughHit, wt_hits);
+                self.charge_op(CostOp::WriteThroughMiss, k as u64 - wt_hits);
             } else {
-                let (d_res, d_idx) = self.cpu.dcache.touch_line(d0, d_pa0, &mut self.shared.mem);
-                self.charge_cached_access(
-                    d_res,
-                    "store.hit",
-                    "store.miss",
-                    "store.writeback",
-                    d0,
-                    dst_pte.frame,
-                );
-                self.cpu.cycles += rest * costs.cache_hit;
-                self.profiler
-                    .leaf_n("store.hit", rest, rest * costs.cache_hit);
-                self.cpu.stats.d_hits += rest;
+                let d_idx = self.touch_group(d0, d_pa0, k, AccessOps::STORE, dst_pte.frame);
                 self.cpu.dcache.mark_line_dirty(d_idx);
                 // Distinct cache pages, so distinct lines: the source
                 // payload is fixed for the whole group.
@@ -975,8 +838,6 @@ impl Machine {
             }
             i += k;
         }
-        self.cpu.stats.loads += count as u64;
-        self.cpu.stats.stores += count as u64;
         self.sample_tick();
         Ok(())
     }
@@ -992,9 +853,7 @@ impl Machine {
         let cycles = out.absent * c.line_op_absent
             + out.present * c.line_op_present
             + out.written_back * c.writeback;
-        self.cpu.cycles += cycles;
-        self.profiler.leaf("flush_page.d", cycles);
-        self.cpu.stats.d_flush_pages.record(cycles);
+        self.account(CostOp::FlushPageD, 1, cycles);
         self.cpu.stats.flush_writebacks += out.written_back;
         self.tracer.emit(
             self.cpu.cycles,
@@ -1014,9 +873,7 @@ impl Machine {
         let out = self.cpu.dcache.purge_page(cp, frame, self.cfg.page_size);
         let c = &self.cfg.costs;
         let cycles = out.absent * c.line_op_absent + out.present * c.line_op_present;
-        self.cpu.cycles += cycles;
-        self.profiler.leaf("purge_page.d", cycles);
-        self.cpu.stats.d_purge_pages.record(cycles);
+        self.account(CostOp::PurgePageD, 1, cycles);
         self.tracer.emit(
             self.cpu.cycles,
             TraceEvent::PurgePage {
@@ -1033,10 +890,7 @@ impl Machine {
     /// time regardless of contents (a 720 artifact the paper remarks on).
     pub fn purge_icache_page(&mut self, cp: CachePage, frame: PFrame) {
         let _ = self.cpu.icache.purge_page(cp, frame, self.cfg.page_size);
-        let cycles = self.cfg.costs.icache_purge_page;
-        self.cpu.cycles += cycles;
-        self.profiler.leaf("purge_page.i", cycles);
-        self.cpu.stats.i_purge_pages.record(cycles);
+        let cycles = self.charge_op(CostOp::PurgePageI, 1);
         self.tracer.emit(
             self.cpu.cycles,
             TraceEvent::PurgePage {
@@ -1060,8 +914,7 @@ impl Machine {
         let pa = self.cfg.paddr(frame, 0);
         self.shared.mem.write(pa, data);
         self.shared.oracle.record_write(pa, data);
-        self.profiler.event("dma.write");
-        self.cpu.stats.dma_writes += 1;
+        self.charge_op(CostOp::DmaWrite, 1);
         self.tracer.emit(
             self.cpu.cycles,
             TraceEvent::DmaPage {
@@ -1083,8 +936,7 @@ impl Machine {
         let pa = self.cfg.paddr(frame, 0);
         self.shared.mem.read(pa, buf);
         self.shared.oracle.check_read(pa, buf, "device (DMA) read");
-        self.profiler.event("dma.read");
-        self.cpu.stats.dma_reads += 1;
+        self.charge_op(CostOp::DmaRead, 1);
         self.tracer.emit(
             self.cpu.cycles,
             TraceEvent::DmaPage {
@@ -1106,9 +958,7 @@ impl Machine {
                 uncached: false,
             },
         );
-        self.cpu.cycles += self.cfg.costs.mapping_update;
-        self.profiler
-            .leaf("mapping_update", self.cfg.costs.mapping_update);
+        self.charge_op(CostOp::MappingUpdate, 1);
     }
 
     /// Change the effective protection of a mapping (TLB entry
@@ -1116,26 +966,20 @@ impl Machine {
     pub fn set_protection(&mut self, m: Mapping, prot: Prot) {
         self.cpu.xlate_cache = None;
         self.cpu.mmu.protect(m, prot);
-        self.cpu.cycles += self.cfg.costs.mapping_update;
-        self.profiler
-            .leaf("mapping_update", self.cfg.costs.mapping_update);
+        self.charge_op(CostOp::MappingUpdate, 1);
     }
 
     /// Mark a mapping uncached/cached.
     pub fn set_uncached(&mut self, m: Mapping, uncached: bool) {
         self.cpu.xlate_cache = None;
         self.cpu.mmu.set_uncached(m, uncached);
-        self.cpu.cycles += self.cfg.costs.mapping_update;
-        self.profiler
-            .leaf("mapping_update", self.cfg.costs.mapping_update);
+        self.charge_op(CostOp::MappingUpdate, 1);
     }
 
     /// Remove a mapping; returns its frame if it existed.
     pub fn remove_mapping(&mut self, m: Mapping) -> Option<PFrame> {
         self.cpu.xlate_cache = None;
-        self.cpu.cycles += self.cfg.costs.mapping_update;
-        self.profiler
-            .leaf("mapping_update", self.cfg.costs.mapping_update);
+        self.charge_op(CostOp::MappingUpdate, 1);
         self.cpu.mmu.remove(m).map(|pte| pte.frame)
     }
 

@@ -4,6 +4,8 @@ use std::fmt;
 
 use vic_core::serial::{SerialError, WordReader, WordWriter};
 
+use crate::cost::CostOp;
+
 /// A count of operations with the cycles they consumed; gives the "average
 /// cycles" columns of the paper's Table 4.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -15,12 +17,6 @@ pub struct OpStat {
 }
 
 impl OpStat {
-    /// Record one operation costing `cycles`.
-    pub fn record(&mut self, cycles: u64) {
-        self.count += 1;
-        self.cycles += cycles;
-    }
-
     /// Average cycles per operation (0 if none occurred).
     pub fn avg(&self) -> f64 {
         if self.count == 0 {
@@ -105,6 +101,37 @@ impl MachineStats {
         *self = MachineStats::default();
     }
 
+    /// Count `n` operations `op` costing `cycles` in total. Every counter
+    /// but `flush_writebacks` (lines, not operations) moves only here.
+    #[inline(always)]
+    pub(crate) fn count(&mut self, op: CostOp, n: u64, cycles: u64) {
+        use CostOp::*;
+        match op {
+            LoadHit | LoadMiss | LoadUncached => self.loads += n,
+            StoreHit | StoreMiss | StoreUncached | WriteThroughHit | WriteThroughMiss => {
+                self.stores += n;
+            }
+            IFetchHit | IFetchMiss | IFetchUncached => self.ifetches += n,
+            _ => {}
+        }
+        let page_op = OpStat { count: n, cycles };
+        match op {
+            LoadHit | StoreHit | WriteThroughHit => self.d_hits += n,
+            LoadMiss | StoreMiss | WriteThroughMiss => self.d_misses += n,
+            IFetchHit => self.i_hits += n,
+            IFetchMiss => self.i_misses += n,
+            LoadUncached | StoreUncached | IFetchUncached => self.uncached += n,
+            LoadWriteback | StoreWriteback => self.writebacks += n,
+            TlbFill => self.tlb_misses += n,
+            FlushPageD => self.d_flush_pages.merge(&page_op),
+            PurgePageD => self.d_purge_pages.merge(&page_op),
+            PurgePageI => self.i_purge_pages.merge(&page_op),
+            DmaWrite => self.dma_writes += n,
+            DmaRead => self.dma_reads += n,
+            FaultTrap | MappingUpdate | Software => {}
+        }
+    }
+
     /// Merge another set of counters into this one.
     pub fn merge(&mut self, other: &MachineStats) {
         self.loads += other.loads;
@@ -173,10 +200,11 @@ mod tests {
 
     #[test]
     fn op_stat_average() {
-        let mut s = OpStat::default();
-        assert_eq!(s.avg(), 0.0);
-        s.record(10);
-        s.record(30);
+        let mut m = MachineStats::default();
+        assert_eq!(m.d_flush_pages.avg(), 0.0);
+        m.count(CostOp::FlushPageD, 1, 10);
+        m.count(CostOp::FlushPageD, 1, 30);
+        let s = m.d_flush_pages;
         assert_eq!(s.count, 2);
         assert_eq!(s.avg(), 20.0);
         assert!(s.to_string().contains("avg 20"));
@@ -188,18 +216,75 @@ mod tests {
             loads: 5,
             ..MachineStats::default()
         };
-        a.d_flush_pages.record(100);
+        a.count(CostOp::FlushPageD, 1, 100);
         let mut b = MachineStats {
             loads: 3,
             ..MachineStats::default()
         };
-        b.d_flush_pages.record(50);
+        b.count(CostOp::FlushPageD, 1, 50);
         a.merge(&b);
         assert_eq!(a.loads, 8);
         assert_eq!(a.d_flush_pages.count, 2);
         assert_eq!(a.d_flush_pages.cycles, 150);
         a.reset();
         assert_eq!(a, MachineStats::default());
+    }
+
+    /// Every op bumps its kind's counter and its outcome's counter, and
+    /// nothing else.
+    #[test]
+    fn count_bumps_each_ops_counters() {
+        use CostOp::*;
+        let mut s = MachineStats::default();
+        for op in [
+            LoadHit,
+            LoadMiss,
+            LoadWriteback,
+            LoadUncached,
+            StoreHit,
+            StoreMiss,
+            StoreWriteback,
+            StoreUncached,
+            WriteThroughHit,
+            WriteThroughMiss,
+            IFetchHit,
+            IFetchMiss,
+            IFetchUncached,
+            TlbFill,
+            FaultTrap,
+            MappingUpdate,
+            Software,
+            FlushPageD,
+            PurgePageD,
+            PurgePageI,
+            DmaWrite,
+            DmaRead,
+        ] {
+            s.count(op, 2, 6);
+        }
+        let page_op = OpStat {
+            count: 2,
+            cycles: 6,
+        };
+        let expected = MachineStats {
+            loads: 6,
+            stores: 10,
+            ifetches: 6,
+            d_hits: 6,
+            d_misses: 6,
+            i_hits: 2,
+            i_misses: 2,
+            writebacks: 4,
+            uncached: 6,
+            tlb_misses: 2,
+            d_flush_pages: page_op,
+            d_purge_pages: page_op,
+            i_purge_pages: page_op,
+            flush_writebacks: 0,
+            dma_writes: 2,
+            dma_reads: 2,
+        };
+        assert_eq!(s, expected);
     }
 
     /// A stat struct with every field distinct and nonzero; merging it into

@@ -1567,6 +1567,11 @@ impl Kernel {
         self.fs.len_pages(f)
     }
 
+    /// Disk blocks not held by any file.
+    pub fn disk_free_blocks(&self) -> usize {
+        self.disk.free_blocks()
+    }
+
     /// Read one file page into the task's memory at `dst_va` (via the Unix
     /// server and the buffer cache).
     ///

@@ -14,7 +14,7 @@
 //!   discipline as tracing.
 //! * [`CostTree`] — the accumulated hierarchy. Its total equals the
 //!   machine's cycle counter *exactly* (conservation: cycles enter the
-//!   tree at the same statements that bump the counter), and two trees
+//!   tree in the same machine function that bumps the counter), and two trees
 //!   merge deterministically, so per-thread trees from a parallel sweep
 //!   fold into one.
 //! * [`ProfileDoc`] / [`DocDiff`] — the file format (written by

@@ -1,6 +1,6 @@
 //! The profiler handle the machine owns: a span stack over a [`CostTree`].
 //!
-//! Same discipline as tracing: when disabled, every `push`/`pop`/`leaf`
+//! Same discipline as tracing: when disabled, every `push`/`pop`/`leaf_n`
 //! site is exactly one `Option` branch — no allocation, no hashing, no
 //! side table. When enabled, the current node index sits on a small stack
 //! and each charge walks one `BTreeMap` level.
@@ -48,7 +48,7 @@ impl Profiler {
     }
 
     /// Freeze or thaw an enabled profiler. While frozen, every
-    /// `push`/`pop`/`leaf` site is the disabled profiler's single branch —
+    /// `push`/`pop`/`leaf_n` site is the disabled profiler's single branch —
     /// nothing is charged, and the accumulated tree is preserved for the
     /// thaw. The sampling driver's functional warm-up uses this so the
     /// warm-up window charges nothing. Freeze/thaw happen between driver
@@ -99,43 +99,24 @@ impl Profiler {
         }
     }
 
-    /// Charge `cycles` to the machine operation `op` under the current
-    /// span path. This is the only place cycles enter the tree, and it is
-    /// called exactly where the machine bumps its cycle counter — which is
-    /// what makes the tree total equal the cycle account.
-    #[inline]
-    pub fn leaf(&mut self, op: &'static str, cycles: u64) {
-        if let Some(st) = &mut self.state {
-            let cur = *st.stack.last().expect("stack holds at least the root");
-            let child = st.tree.child(cur, Seg::Machine(op));
-            st.tree.add(child, 1, cycles);
-        }
-    }
-
-    /// Charge a batch of `count` identical operations in one call, exactly
-    /// as if [`Profiler::leaf`] had been called `count` times for
-    /// `cycles / count` each. The bulk-run engine uses this to keep the
-    /// tree identical to the word loop's while charging per *run* instead
-    /// of per word. A zero batch records nothing — in particular it must
-    /// not materialize an empty tree node, which the word loop would never
-    /// have created.
+    /// Charge a batch of `count` operations `op`, costing `cycles` in
+    /// total, under the current span path. This is the only place cycles
+    /// enter the tree, and the machine calls it from the one function that
+    /// moves its cycle counter — which is what makes the tree total equal
+    /// the cycle account. A batch of one at zero cycles still counts (a
+    /// DMA page transfer costs the CPU nothing, yet appears). A zero
+    /// batch records nothing — in particular it must not materialize an
+    /// empty tree node, which the word loop would never have created.
     #[inline]
     pub fn leaf_n(&mut self, op: &'static str, count: u64, cycles: u64) {
-        if count == 0 {
-            return;
-        }
         if let Some(st) = &mut self.state {
+            if count == 0 {
+                return;
+            }
             let cur = *st.stack.last().expect("stack holds at least the root");
             let child = st.tree.child(cur, Seg::Machine(op));
             st.tree.add(child, count, cycles);
         }
-    }
-
-    /// Record a zero-cost machine event (e.g. a DMA page transfer, which
-    /// the cycle model charges nothing for) so its count still appears.
-    #[inline]
-    pub fn event(&mut self, op: &'static str) {
-        self.leaf(op, 0);
     }
 
     /// The accumulated tree, if enabled.
@@ -169,7 +150,7 @@ mod tests {
         let mut p = Profiler::off();
         assert!(!p.is_enabled());
         p.push(Seg::Os("fs.read"));
-        p.leaf("load.hit", 5);
+        p.leaf_n("load.hit", 1, 5);
         p.pop();
         assert!(p.tree().is_none());
         assert!(p.take_tree().is_none());
@@ -178,15 +159,15 @@ mod tests {
     #[test]
     fn spans_nest_and_attribute() {
         let mut p = Profiler::enabled();
-        p.leaf("load.hit", 1); // root context (user)
+        p.leaf_n("load.hit", 1, 1); // root context (user)
         p.push(Seg::Os("fault.mapping"));
-        p.leaf("software", 350);
+        p.leaf_n("software", 1, 350);
         p.push(Seg::Mgr("map"));
-        p.leaf("purge_page.d", 7);
+        p.leaf_n("purge_page.d", 1, 7);
         p.pop();
-        p.leaf("mapping_update", 25);
+        p.leaf_n("mapping_update", 1, 25);
         p.pop();
-        p.leaf("load.hit", 1);
+        p.leaf_n("load.hit", 1, 1);
         let t = p.take_tree().unwrap();
         assert_eq!(t.total_cycles(), 384);
         let rows = t.flatten();
@@ -209,16 +190,16 @@ mod tests {
     #[test]
     fn frozen_records_nothing_and_thaw_resumes() {
         let mut p = Profiler::enabled();
-        p.leaf("load.hit", 3);
+        p.leaf_n("load.hit", 1, 3);
         p.set_frozen(true);
         assert!(p.is_frozen());
         assert!(!p.is_enabled(), "frozen looks disabled to recording sites");
         p.push(Seg::Os("warmup"));
-        p.leaf("software", 999);
+        p.leaf_n("software", 1, 999);
         p.pop();
         p.set_frozen(false);
         assert!(!p.is_frozen());
-        p.leaf("load.hit", 4);
+        p.leaf_n("load.hit", 1, 4);
         let t = p.take_tree().unwrap();
         assert_eq!(t.total_cycles(), 7, "the frozen window charged nothing");
     }
@@ -237,11 +218,11 @@ mod tests {
     fn reset_tree_discards_costs() {
         let mut p = Profiler::enabled();
         p.push(Seg::Os("warmup"));
-        p.leaf("software", 99);
+        p.leaf_n("software", 1, 99);
         p.pop();
         p.reset_tree();
         assert!(p.is_enabled());
-        p.leaf("load.hit", 1);
+        p.leaf_n("load.hit", 1, 1);
         let t = p.take_tree().unwrap();
         assert_eq!(t.total_cycles(), 1);
         assert_eq!(t.flatten().len(), 1);
@@ -255,7 +236,7 @@ mod tests {
         b.push(Seg::Os("fs.read"));
         a.leaf_n("load.hit", 63, 63);
         for _ in 0..63 {
-            b.leaf("load.hit", 1);
+            b.leaf_n("load.hit", 1, 1);
         }
         a.pop();
         b.pop();
@@ -277,10 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn event_counts_without_cycles() {
+    fn zero_cycle_leaf_still_counts() {
         let mut p = Profiler::enabled();
-        p.event("dma.write");
-        p.event("dma.write");
+        p.leaf_n("dma.write", 1, 0);
+        p.leaf_n("dma.write", 1, 0);
         let t = p.take_tree().unwrap();
         assert_eq!(t.total_cycles(), 0);
         let rows = t.flatten();

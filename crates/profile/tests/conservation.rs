@@ -15,6 +15,19 @@ fn machine_op_cycles(tree: &vic_profile::CostTree, op: &'static str) -> u64 {
     tree.cycles_where(|path| path.last() == Some(&Seg::Machine(op)))
 }
 
+/// Operations charged to any of the machine leaves `ops`, under any span.
+fn machine_op_count(tree: &vic_profile::CostTree, ops: &[&'static str]) -> u64 {
+    let mut n = 0;
+    tree.visit(|path, count, _| {
+        if let Some(Seg::Machine(op)) = path.last() {
+            if ops.contains(op) {
+                n += count;
+            }
+        }
+    });
+    n
+}
+
 #[test]
 fn every_cycle_attributed_across_the_grid() {
     // One spec per workload kind, across dissimilar systems — COW, exec
@@ -26,7 +39,18 @@ fn every_cycle_attributed_across_the_grid() {
         SystemSpec::quick(WorkloadKind::Fork, SystemKind::Apollo),
         SystemSpec::quick(WorkloadKind::AliasAligned, SystemKind::Tut),
         SystemSpec::quick(WorkloadKind::AliasUnaligned, SystemKind::Sun),
+        // Sun's uncached pages take loads too on afs (the alias run
+        // only stores through them).
+        SystemSpec::quick(WorkloadKind::Afs, SystemKind::Sun),
+        SystemSpec {
+            write_through: true,
+            ..SystemSpec::quick(WorkloadKind::KernelBuild, SystemKind::Cmu(Configuration::F))
+        },
     ];
+    // Each leaf family's total over the grid, so a family that never
+    // occurs cannot pass the per-run checks vacuously.
+    let mut seen = [0u64; 8];
+    let mut write_through_seen = 0;
     for spec in specs {
         let (stats, tree) = spec.run_profiled();
         let label = spec.label();
@@ -70,11 +94,60 @@ fn every_cycle_attributed_across_the_grid() {
             "{label}: flush count"
         );
 
+        // Every counter the machine keeps per access is the count of the
+        // leaves charged with it: stats and profile share one vocabulary.
+        let m = &stats.machine;
+        let families: [(&[&'static str], u64, &str); 8] = [
+            (
+                &["load.hit", "load.miss", "load.uncached"],
+                m.loads,
+                "loads",
+            ),
+            (
+                &[
+                    "store.hit",
+                    "store.miss",
+                    "store.uncached",
+                    "store.write_through",
+                ],
+                m.stores,
+                "stores",
+            ),
+            (
+                &["ifetch.hit", "ifetch.miss", "ifetch.uncached"],
+                m.ifetches,
+                "ifetches",
+            ),
+            (
+                &["load.writeback", "store.writeback"],
+                m.writebacks,
+                "writebacks",
+            ),
+            (
+                &["load.uncached", "store.uncached", "ifetch.uncached"],
+                m.uncached,
+                "uncached",
+            ),
+            (&["tlb_fill"], m.tlb_misses, "tlb_misses"),
+            (&["dma.write"], m.dma_writes, "dma_writes"),
+            (&["dma.read"], m.dma_reads, "dma_reads"),
+        ];
+        for (i, (ops, counter, name)) in families.into_iter().enumerate() {
+            let leaves = machine_op_count(&tree, ops);
+            assert_eq!(leaves, counter, "{label}: {name} vs leaves {ops:?}");
+            seen[i] += leaves;
+        }
+        write_through_seen += machine_op_count(&tree, &["store.write_through"]);
+
         // Flattened rows re-sum to the total (the JSON round-trip rests
         // on this).
         let row_sum: u64 = tree.flatten().iter().map(|r| r.cycles).sum();
         assert_eq!(row_sum, stats.cycles, "{label}: flatten loses cycles");
     }
+    assert!(
+        seen.iter().all(|&n| n > 0) && write_through_seen > 0,
+        "the grid must exercise every leaf family: {seen:?}, write-through {write_through_seen}"
+    );
 }
 
 #[test]

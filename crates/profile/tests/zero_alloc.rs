@@ -234,8 +234,8 @@ fn disabled_profiler_hooks_allocate_nothing() {
     let (allocs, _) = allocations_during(|| {
         for _ in 0..1000 {
             p.push(vic_profile::Seg::Os("fault.mapping"));
-            p.leaf("software", 3);
-            p.event("dma.write");
+            p.leaf_n("software", 1, 3);
+            p.leaf_n("dma.write", 1, 0);
             p.pop();
         }
     });

@@ -238,6 +238,19 @@ impl StepWorkload for KernelBuild {
         }
         Ok(true)
     }
+
+    /// Delete the compiler, the sources, the objects and the image.
+    fn between_reps(&self, k: &mut Kernel, cpu: CpuId, cur: &Cursor) -> Result<(), OsError> {
+        let files = std::iter::once(&cur.u[U_CC])
+            .chain(&cur.lists[L_SRC])
+            .chain(&cur.lists[L_OBJ])
+            .chain(std::iter::once(&cur.u[U_IMAGE]));
+        for &f in files {
+            k.fs_delete(cpu, FileId(f as u32))?;
+        }
+        k.sync(cpu);
+        Ok(())
+    }
 }
 
 #[cfg(test)]

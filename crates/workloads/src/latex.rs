@@ -169,6 +169,12 @@ impl StepWorkload for LatexBench {
         }
         Ok(true)
     }
+
+    /// Delete the `.tex` input and the `.dvi` output.
+    fn between_reps(&self, k: &mut Kernel, cpu: CpuId, cur: &Cursor) -> Result<(), OsError> {
+        k.fs_delete(cpu, FileId(cur.u[U_INPUT] as u32))?;
+        k.fs_delete(cpu, FileId(cur.u[U_OUT] as u32))
+    }
 }
 
 #[cfg(test)]

@@ -179,6 +179,18 @@ pub trait StepWorkload {
     ///
     /// Propagates any kernel error (always a bug in the driver or kernel).
     fn step(&self, k: &mut Kernel, cpu: CpuId, cur: &mut Cursor) -> Result<bool, OsError>;
+
+    /// Clean up between two repetitions (see [`Repeated`]): release what
+    /// the finished repetition left behind that the next one would
+    /// otherwise accumulate. `cur` still holds the finished repetition's
+    /// registers. A plain run never calls this.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any kernel error (always a bug in the driver or kernel).
+    fn between_reps(&self, _k: &mut Kernel, _cpu: CpuId, _cur: &Cursor) -> Result<(), OsError> {
+        Ok(())
+    }
 }
 
 /// Why [`drive`] returned.
@@ -225,11 +237,14 @@ pub fn drive(
 /// A workload repeated back-to-back on one warm kernel — the scaling knob
 /// interval sampling needs to make *workload length* cheap.
 ///
-/// Every batch driver in this crate ends with a cleanup phase (delete all
-/// files, terminate all tasks, sync), so running it again from a rewound
-/// cursor on the same kernel is well-defined: repetition 0 runs cold,
-/// later repetitions run against whatever cache/TLB/consistency state the
-/// previous one left — the steady state a longer benchmark would live in.
+/// Between two repetitions the driver's [`StepWorkload::between_reps`]
+/// releases whatever its own final phase keeps (kernel-build's and
+/// latex-paper's files, which a single run leaves on disk), so running it
+/// again from a rewound cursor on the same kernel is well-defined and
+/// accumulates no files: repetition 0 runs cold, later repetitions run
+/// against whatever cache/TLB/consistency state the previous one left —
+/// the steady state a longer benchmark would live in. The last
+/// repetition skips the hook, so a plain run is untouched.
 /// Progress is still entirely in the [`Cursor`] (`rep` counts completed
 /// repetitions), so a repeated workload checkpoints and restores like any
 /// other.
@@ -267,6 +282,9 @@ impl StepWorkload for Repeated {
         }
         if self.inner.step(k, cpu, cur)? {
             return Ok(true);
+        }
+        if cur.rep + 1 < self.total {
+            self.inner.between_reps(k, cpu, cur)?;
         }
         cur.begin_next_rep();
         Ok(cur.rep < self.total)
